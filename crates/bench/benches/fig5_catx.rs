@@ -5,7 +5,7 @@ use bismarck_core::model::{DenseModelStore, ModelStore};
 use bismarck_core::task::IgdTask;
 use bismarck_core::tasks::LeastSquaresTask;
 use bismarck_datagen::ca_tx_table;
-use bismarck_storage::ScanOrder;
+use bismarck_storage::{ScanOrder, Tuple, TupleScan};
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use std::hint::black_box;
 
@@ -15,17 +15,10 @@ fn epochs_to_converge(order: ScanOrder, n: usize, max_epochs: usize) -> usize {
     let mut store = DenseModelStore::new(vec![1.0]);
     for epoch in 0..max_epochs {
         let alpha = 1.0 / (1.0 + epoch as f64);
+        let mut step = |tuple: &Tuple| task.gradient_step(&mut store, tuple, alpha);
         match order.permutation(table.len(), epoch) {
-            Some(perm) => {
-                for tuple in table.scan_permuted(&perm) {
-                    task.gradient_step(&mut store, tuple, alpha);
-                }
-            }
-            None => {
-                for tuple in table.scan() {
-                    task.gradient_step(&mut store, tuple, alpha);
-                }
-            }
+            Some(perm) => table.scan_tuples_permuted(&perm, &mut step),
+            None => table.scan_tuples(&mut step),
         }
         let w = store.read(0);
         if w * w < 0.001 {

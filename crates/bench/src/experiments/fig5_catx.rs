@@ -10,7 +10,7 @@ use bismarck_core::model::{DenseModelStore, ModelStore};
 use bismarck_core::task::IgdTask;
 use bismarck_core::tasks::LeastSquaresTask;
 use bismarck_datagen::ca_tx_table;
-use bismarck_storage::{ScanOrder, Table};
+use bismarck_storage::{ScanOrder, Table, Tuple, TupleScan};
 
 use super::render_table;
 use super::scale::Scale;
@@ -56,17 +56,16 @@ fn run_ordering(
     for epoch in 0..max_epochs {
         // Diminishing step-size rule, as in the paper's example.
         let alpha = 1.0 / (1.0 + epoch as f64);
-        let permutation = order.permutation(n, epoch);
-        let visit: Box<dyn Iterator<Item = &bismarck_storage::Tuple>> = match &permutation {
-            Some(p) => Box::new(table.scan_permuted(p)),
-            None => Box::new(table.scan()),
-        };
-        for tuple in visit {
+        let mut visit = |tuple: &Tuple| {
             task.gradient_step(&mut store, tuple, alpha);
             if step.is_multiple_of(sample_every) {
                 samples.push((step, store.read(0)));
             }
             step += 1;
+        };
+        match order.permutation(n, epoch) {
+            Some(p) => table.scan_tuples_permuted(&p, &mut visit),
+            None => table.scan_tuples(&mut visit),
         }
         let w = store.read(0);
         if epochs_to_converge.is_none() && w * w < 0.001 {

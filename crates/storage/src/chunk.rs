@@ -21,6 +21,7 @@ use bismarck_linalg::{DenseVector, SparseVector};
 
 use crate::codec::{push_value, read_value, Reader};
 use crate::error::StorageError;
+use crate::scan::prefetch_slice;
 use crate::schema::DataType;
 use crate::value::Value;
 
@@ -415,6 +416,20 @@ impl ColumnChunk {
             ColumnChunk::Sequence { rows } => {
                 slot.clone_from(&rows[i]);
             }
+        }
+    }
+
+    /// Prefetch the data lines [`ColumnChunk::read_into`] touches for row
+    /// `i` of an `INT`, `DOUBLE` or `DENSE_VEC` chunk (`i` must be in range).
+    #[inline(always)]
+    pub(crate) fn prefetch_row(&self, i: usize) {
+        match self {
+            ColumnChunk::Int { data, .. } => prefetch_slice(&data[i..=i]),
+            ColumnChunk::Double { data, .. } => prefetch_slice(&data[i..=i]),
+            ColumnChunk::Dense { data, offsets, .. } => {
+                prefetch_slice(&data[offsets[i] as usize..offsets[i + 1] as usize]);
+            }
+            _ => {}
         }
     }
 

@@ -29,7 +29,7 @@ use crate::chunk::ColumnChunk;
 use crate::codec::Reader;
 use crate::error::StorageError;
 use crate::pager::{Manifest, Pager, PagerStats};
-use crate::scan::TupleScan;
+use crate::scan::{TupleScan, PREFETCH_DISTANCE};
 use crate::schema::{DataType, Schema};
 use crate::table::Table;
 use crate::tuple::Tuple;
@@ -100,6 +100,16 @@ impl Segment {
         }
     }
 
+    /// Prefetch the cache lines row `row` (which must be in range) will read
+    /// from its numeric and dense-vector chunks; other layouts are left to
+    /// the hardware.
+    #[inline(always)]
+    pub(crate) fn prefetch_row(&self, row: usize) {
+        for chunk in &self.columns {
+            chunk.prefetch_row(row);
+        }
+    }
+
     /// Approximate in-memory footprint in bytes.
     pub fn approx_bytes(&self) -> usize {
         self.columns.iter().map(ColumnChunk::approx_bytes).sum()
@@ -145,7 +155,7 @@ enum Backing {
 /// Rows are validated against the schema on insert exactly like the
 /// row-store, and every scan order ([`TupleScan`]) yields tuples equal to
 /// what a row-store holding the same inserts would yield — property-tested
-/// in `tests/columnar_equivalence.rs`.
+/// in `tests/columnar_storage.rs`.
 #[derive(Debug)]
 pub struct ColumnarTable {
     name: String,
@@ -485,6 +495,28 @@ impl TupleScan for ColumnarTable {
 
     fn scan_tuples_permuted(&self, order: &[usize], f: &mut dyn FnMut(&Tuple)) {
         let mut scratch = Tuple::default();
+        if let Backing::Memory(segments) = &self.backing {
+            // Resident segments are borrowed, never `Arc`-cloned: a shuffled
+            // order switches segment on almost every row, and parallel
+            // workers would contend on the shared refcounts.
+            let segment_of = |row: usize| {
+                segments
+                    .get(row / self.chunk_capacity)
+                    .map_or(&self.open, |seg| &**seg)
+            };
+            for (i, &row) in order.iter().enumerate() {
+                if let Some(&ahead) = order.get(i + PREFETCH_DISTANCE) {
+                    if ahead < self.row_count {
+                        segment_of(ahead).prefetch_row(ahead % self.chunk_capacity);
+                    }
+                }
+                if row < self.row_count {
+                    segment_of(row).read_row_into(row % self.chunk_capacity, &mut scratch);
+                    f(&scratch);
+                }
+            }
+            return;
+        }
         // Cache the last-touched segment so runs of nearby rows (and the
         // clustered case) do not take the pager lock once per tuple.
         let mut current: Option<(usize, Arc<Segment>)> = None;

@@ -56,7 +56,7 @@ pub use crate::error::StorageError;
 pub use crate::null_agg::NullAggregate;
 pub use crate::pager::PagerStats;
 pub use crate::reservoir::ReservoirSampler;
-pub use crate::scan::{segment_ranges, ScanOrder, TupleScan};
+pub use crate::scan::{segment_ranges, ScanOrder, TupleScan, PREFETCH_DISTANCE};
 pub use crate::schema::{Column, DataType, Schema};
 pub use crate::shared::SharedModel;
 pub use crate::table::Table;

@@ -256,9 +256,16 @@ impl Pager {
         self.inner.lock().unwrap_or_else(|e| e.into_inner())
     }
 
+    /// Evict least-recently-used segments until the cache fits. A fetched
+    /// segment and its read-ahead neighbour share one tick; such ties evict
+    /// the higher index (the not-yet-used read-ahead) first, so the victim
+    /// never depends on `HashMap` iteration order.
     fn enforce_capacity(&self, inner: &mut PagerInner) {
         while inner.cache.len() > self.capacity {
-            let Some((&victim, _)) = inner.cache.iter().min_by_key(|(_, entry)| entry.last_used)
+            let Some((&victim, _)) = inner
+                .cache
+                .iter()
+                .min_by_key(|&(&idx, entry)| (entry.last_used, std::cmp::Reverse(idx)))
             else {
                 return;
             };
@@ -418,6 +425,31 @@ mod tests {
             pager.fetch(idx, 4).unwrap();
         }
         assert_eq!(pinned.len(), 3);
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn eviction_breaks_lru_ties_on_segment_index() {
+        let dir = temp_dir("tie");
+        let writer = Pager::create(&dir, 4).unwrap();
+        for idx in 0..4 {
+            writer.write_segment(idx, &segment(idx as f64, 2)).unwrap();
+        }
+        let cached = |pager: &Pager| {
+            let mut keys: Vec<usize> = pager.lock().cache.keys().copied().collect();
+            keys.sort_unstable();
+            keys
+        };
+        for _ in 0..8 {
+            // Fetching 0 reads 1 ahead on the same tick; the non-sequential
+            // fetch of 3 must then evict the read-ahead 1, never 0.
+            let pager = Pager::create(&dir, 2).unwrap();
+            pager.fetch(0, 4).unwrap();
+            assert_eq!(cached(&pager), vec![0, 1]);
+            pager.fetch(3, 4).unwrap();
+            assert_eq!(cached(&pager), vec![0, 3]);
+            assert_eq!(pager.stats().evictions, 1);
+        }
         std::fs::remove_dir_all(&dir).ok();
     }
 

@@ -31,9 +31,20 @@ use crate::tuple::Tuple;
 ///
 /// # Semantics shared by all implementations
 ///
-/// * `scan_tuples_permuted` silently skips out-of-range row ids, matching
-///   `Table::scan_permuted`'s historical behaviour.
+/// * `scan_tuples_permuted` visits rows exactly in `order`, duplicates
+///   included, and silently skips out-of-range row ids.
 /// * `scan_tuples_range` clamps `end` to the row count and `start` to `end`.
+///
+/// # Prefetching
+///
+/// A permuted scan is a random gather, so every row would otherwise wait on
+/// its own cache misses. The in-memory implementations issue software
+/// prefetches for the rows up to [`PREFETCH_DISTANCE`] positions ahead in
+/// `order` before visiting the current one, so those misses overlap (the
+/// row store does the same in storage-order scans). Prefetching only warms
+/// caches: the visit order and every tuple passed to `f` are exactly what
+/// they would be without it. Paged tables do not prefetch, because fetching
+/// a segment early would change the pager's counts.
 ///
 /// # Panics
 ///
@@ -62,6 +73,50 @@ pub trait TupleScan: Sync {
 
     /// Visit rows in `start..end` (clamped) in storage order.
     fn scan_tuples_range(&self, start: usize, end: usize, f: &mut dyn FnMut(&Tuple));
+}
+
+/// How many rows of a scan's visit order the prefetches run ahead of the
+/// row being visited.
+///
+/// The row-store pipeline has three dependent loads per row (the tuple
+/// slot, its values array, the feature payload), so it prefetches the slot
+/// `2 * D` rows ahead, the values array `D` ahead and the payload `D / 2`
+/// ahead; by the time a row is visited each of its loads has had about
+/// `D / 2` rows' worth of time to arrive. The value is measured, not
+/// derived: on a 2-vCPU x86-64 VM, `D` = 4, 8 and 16 ran the shuffled
+/// row-store training benchmark equally fast, all ~2.7× faster than no
+/// prefetch.
+pub const PREFETCH_DISTANCE: usize = 8;
+
+const CACHE_LINE: usize = 64;
+
+/// Hint the CPU to pull the cache line holding `p` into L1.
+///
+/// A no-op on targets without a prefetch intrinsic.
+#[inline(always)]
+#[allow(unsafe_code)]
+pub(crate) fn prefetch_read(p: *const u8) {
+    #[cfg(target_arch = "x86_64")]
+    {
+        use std::arch::x86_64::{_mm_prefetch, _MM_HINT_T0};
+        // SAFETY: a prefetch is only a hint. It never faults and never
+        // dereferences `p`, so any address, even a dangling one, is sound.
+        unsafe { _mm_prefetch::<_MM_HINT_T0>(p.cast::<i8>()) };
+    }
+    #[cfg(not(target_arch = "x86_64"))]
+    let _ = p;
+}
+
+/// Prefetch every cache line spanned by `items`.
+#[inline(always)]
+pub(crate) fn prefetch_slice<T>(items: &[T]) {
+    let start = items.as_ptr().cast::<u8>();
+    let end = start.wrapping_add(std::mem::size_of_val(items));
+    let mut line = start.wrapping_sub(start as usize % CACHE_LINE);
+    while line < end {
+        prefetch_read(line);
+        line = line.wrapping_add(CACHE_LINE);
+    }
 }
 
 /// The order in which an epoch visits the rows of a table.

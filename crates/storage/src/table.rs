@@ -4,9 +4,11 @@
 //! the "clustered order" the paper warns about (e.g. all positive examples
 //! before all negative ones). Scans either follow storage order or follow an
 //! explicit row permutation produced by [`crate::scan::ScanOrder`], which is
-//! our stand-in for `ORDER BY RANDOM()`.
+//! our stand-in for `ORDER BY RANDOM()`. Both run through one prefetching
+//! pipeline, so a random gather overlaps its cache misses.
 
 use crate::error::StorageError;
+use crate::scan::{prefetch_read, prefetch_slice, PREFETCH_DISTANCE};
 use crate::schema::Schema;
 use crate::tuple::Tuple;
 use crate::value::Value;
@@ -126,10 +128,64 @@ impl Table {
         self.pages.iter().flat_map(|p| p.tuples.iter())
     }
 
-    /// Iterate over tuples following an explicit row permutation. Invalid
-    /// row ids are skipped, so a stale permutation degrades gracefully.
-    pub fn scan_permuted<'a>(&'a self, order: &'a [usize]) -> impl Iterator<Item = &'a Tuple> + 'a {
-        order.iter().filter_map(move |&row| self.get(row).ok())
+    /// Stage 1 of the scan pipeline: prefetch row `row`'s tuple slot. Only
+    /// the page directory is read, which stays cache-resident.
+    #[inline(always)]
+    fn prefetch_slot(&self, row: usize) {
+        if row < self.row_count {
+            let slot = &self.pages[row / PAGE_CAPACITY].tuples[row % PAGE_CAPACITY];
+            prefetch_read(std::ptr::from_ref(slot).cast());
+        }
+    }
+
+    /// Stage 2: prefetch the tuple's values array (reads the slot stage 1
+    /// warmed).
+    #[inline(always)]
+    fn prefetch_values(&self, row: usize) {
+        if let Ok(tuple) = self.get(row) {
+            prefetch_slice(tuple.values());
+        }
+    }
+
+    /// Stage 3: prefetch the feature payloads (reads the values array stage
+    /// 2 warmed).
+    #[inline(always)]
+    fn prefetch_payloads(&self, row: usize) {
+        if let Ok(tuple) = self.get(row) {
+            tuple.values().iter().for_each(Value::prefetch_payload);
+        }
+    }
+
+    /// Visit the rows `row_at(0)`, ..., `row_at(n - 1)` through a three-stage
+    /// software pipeline: each row's slot is prefetched `2D` positions
+    /// ahead, its values array `D` ahead and its feature payloads `D/2` ahead
+    /// (`D` = [`PREFETCH_DISTANCE`]), so the dependent misses of the rows
+    /// ahead overlap with visiting the current one. Ids at or past the row
+    /// count are skipped; `visit` returning `false` stops the scan.
+    #[inline(always)]
+    fn visit_prefetched(
+        &self,
+        n: usize,
+        row_at: impl Fn(usize) -> usize,
+        mut visit: impl FnMut(&Tuple) -> bool,
+    ) {
+        const D: usize = PREFETCH_DISTANCE;
+        for i in 0..n {
+            if i + 2 * D < n {
+                self.prefetch_slot(row_at(i + 2 * D));
+            }
+            if i + D < n {
+                self.prefetch_values(row_at(i + D));
+            }
+            if i + D / 2 < n {
+                self.prefetch_payloads(row_at(i + D / 2));
+            }
+            if let Ok(tuple) = self.get(row_at(i)) {
+                if !visit(tuple) {
+                    return;
+                }
+            }
+        }
     }
 
     /// Iterate over a contiguous range of rows `[start, end)` in storage
@@ -163,17 +219,18 @@ impl crate::scan::TupleScan for Table {
     }
 
     fn scan_tuples_while(&self, f: &mut dyn FnMut(&Tuple) -> bool) {
-        for tuple in self.scan() {
-            if !f(tuple) {
-                return;
-            }
-        }
+        self.visit_prefetched(self.row_count, |i| i, |tuple| f(tuple));
     }
 
     fn scan_tuples_permuted(&self, order: &[usize], f: &mut dyn FnMut(&Tuple)) {
-        for tuple in self.scan_permuted(order) {
-            f(tuple);
-        }
+        self.visit_prefetched(
+            order.len(),
+            |i| order[i],
+            |tuple| {
+                f(tuple);
+                true
+            },
+        );
     }
 
     fn scan_tuples_range(&self, start: usize, end: usize, f: &mut dyn FnMut(&Tuple)) {
@@ -186,6 +243,7 @@ impl crate::scan::TupleScan for Table {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::scan::TupleScan;
     use crate::schema::{Column, DataType};
 
     fn table() -> Table {
@@ -245,10 +303,8 @@ mod tests {
             t.insert(vec![Value::Int(i), Value::Double(0.0)]).unwrap();
         }
         let order = vec![4, 2, 0, 99];
-        let ids: Vec<i64> = t
-            .scan_permuted(&order)
-            .map(|tup| tup.get_int(0).unwrap())
-            .collect();
+        let mut ids = Vec::new();
+        t.scan_tuples_permuted(&order, &mut |tup| ids.push(tup.get_int(0).unwrap()));
         assert_eq!(ids, vec![4, 2, 0]);
     }
 

@@ -8,6 +8,7 @@
 
 use bismarck_linalg::{DenseVector, FeatureVectorRef, SparseVector};
 
+use crate::scan::prefetch_slice;
 use crate::schema::DataType;
 
 /// A single column value inside a [`crate::Tuple`].
@@ -88,6 +89,20 @@ impl Value {
             Value::DenseVec(v) => Some(FeatureVectorRef::Dense(v.as_slice())),
             Value::SparseVec(v) => Some(FeatureVectorRef::from(v)),
             _ => None,
+        }
+    }
+
+    /// Prefetch every cache line of a dense or sparse feature payload; other
+    /// values have no out-of-line payload worth warming.
+    #[inline(always)]
+    pub(crate) fn prefetch_payload(&self) {
+        match self {
+            Value::DenseVec(v) => prefetch_slice(v.as_slice()),
+            Value::SparseVec(v) => {
+                prefetch_slice(v.indices());
+                prefetch_slice(v.values());
+            }
+            _ => {}
         }
     }
 

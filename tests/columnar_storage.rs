@@ -13,12 +13,17 @@
 //!    segment cache is far smaller than the dataset produces bit-identical
 //!    models to the same run over the in-memory row-store, for both
 //!    Clustered and ShuffleOnce scan orders.
+//! 4. Prefetching permuted scans visit exactly `order`, row by row, on the
+//!    row-store and on in-memory and paged columnar tables, for orders
+//!    shorter and longer than the prefetch distance, with duplicates and
+//!    out-of-range ids; and `scan_tuples_while` stops exactly where asked.
 
 use bismarck_core::tasks::SvmTask;
 use bismarck_core::{Trainer, TrainerConfig};
+use bismarck_linalg::SparseVector;
 use bismarck_storage::csv::{table_from_str, tuples_to_string};
 use bismarck_storage::{
-    Column, ColumnarTable, DataType, ScanOrder, Schema, Table, TupleScan, Value,
+    Column, ColumnarTable, DataType, ScanOrder, Schema, Table, TupleScan, Value, PREFETCH_DISTANCE,
 };
 use bismarck_uda::ConvergenceTest;
 use proptest::prelude::*;
@@ -141,6 +146,99 @@ proptest! {
         let mut from_col = Vec::new();
         columnar.scan_tuples_range(start, end, &mut |t| from_col.push(t.values().to_vec()));
         prop_assert_eq!(from_row, from_col);
+    }
+}
+
+/// [`mixed_schema`] plus a sparse feature column, so the row-store's
+/// payload prefetch sees both vector layouts.
+fn prefetch_schema() -> Schema {
+    let mut columns = mixed_schema().columns().to_vec();
+    columns.push(Column::nullable("sparse", DataType::SparseVec));
+    Schema::new(columns).unwrap()
+}
+
+fn prefetch_row_strategy() -> impl Strategy<Value = Vec<Value>> {
+    (
+        row_strategy(),
+        prop_oneof![
+            prop::sample::select(vec![Value::Null]),
+            prop::collection::vec((0usize..40, -10.0f64..10.0), 0..6)
+                .prop_map(|pairs| Value::from(SparseVector::from_pairs(pairs))),
+        ],
+    )
+        .prop_map(|(mut row, sparse)| {
+            row.push(sparse);
+            row
+        })
+}
+
+static PAGED_CASE: std::sync::atomic::AtomicUsize = std::sync::atomic::AtomicUsize::new(0);
+
+/// Check one source: `scan_tuples_permuted` over `order` and each of its
+/// prefixes equals looking every id up with `get`, and `scan_tuples_while`
+/// stops right after the visit that returns `false`, at every position.
+fn assert_scans_match_get<S: TupleScan>(
+    source: &S,
+    rows: &[Vec<Value>],
+    order: &[usize],
+    get: impl Fn(usize) -> Option<Vec<Value>>,
+) -> Result<(), String> {
+    let d = PREFETCH_DISTANCE;
+    for len in [0, d - 1, d, 2 * d + 1, order.len()] {
+        let prefix = &order[..len.min(order.len())];
+        let expected: Vec<Vec<Value>> = prefix.iter().filter_map(|&row| get(row)).collect();
+        let mut seen = Vec::new();
+        source.scan_tuples_permuted(prefix, &mut |t| seen.push(t.values().to_vec()));
+        prop_assert_eq!(seen, expected);
+    }
+    for stop in 0..=rows.len() {
+        let mut seen = Vec::new();
+        source.scan_tuples_while(&mut |t| {
+            seen.push(t.values().to_vec());
+            seen.len() <= stop
+        });
+        prop_assert_eq!(&seen[..], &rows[..(stop + 1).min(rows.len())]);
+    }
+    Ok(())
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(32))]
+
+    /// The prefetch pipelines change no visit: the row-store, an in-memory
+    /// columnar table and a paged one (cache of 2 segments) all yield
+    /// `order.iter().filter_map(get)` for orders of every length class
+    /// around the prefetch distance, with duplicates and ids past the end.
+    #[test]
+    fn permuted_scans_visit_exactly_the_given_order(
+        rows in prop::collection::vec(prefetch_row_strategy(), 0..40),
+        order in prop::collection::vec(0usize..44, 0..4 * PREFETCH_DISTANCE),
+        chunk in 3usize..9,
+    ) {
+        let mut table = Table::new("t", prefetch_schema());
+        let mut columnar = ColumnarTable::with_chunk_capacity("t", prefetch_schema(), chunk);
+        let case = PAGED_CASE.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+        let dir = std::env::temp_dir()
+            .join(format!("bismarck_prefetch_scan_{}_{case}", std::process::id()));
+        std::fs::remove_dir_all(&dir).ok();
+        let mut paged = ColumnarTable::create_paged("t", prefetch_schema(), &dir, chunk, 2).unwrap();
+        for row in &rows {
+            table.insert(row.clone()).unwrap();
+            columnar.insert(row.clone()).unwrap();
+            paged.insert(row.clone()).unwrap();
+        }
+
+        assert_scans_match_get(&table, &rows, &order, |r| {
+            table.get(r).ok().map(|t| t.values().to_vec())
+        })?;
+        assert_scans_match_get(&columnar, &rows, &order, |r| {
+            columnar.get(r).ok().map(|t| t.into_values())
+        })?;
+        assert_scans_match_get(&paged, &rows, &order, |r| {
+            paged.get(r).ok().map(|t| t.into_values())
+        })?;
+        drop(paged);
+        std::fs::remove_dir_all(&dir).ok();
     }
 }
 
