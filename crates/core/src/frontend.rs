@@ -7,14 +7,21 @@
 //! catalog, infer the model dimension from the data, run the Bismarck
 //! trainer, and write the model back into the database so it can be applied
 //! to new data with the matching `*_predict` function.
+//!
+//! The linear models (LR and SVM) have one body each for train, loss and
+//! predict — [`train_linear`], [`linear_loss`] and [`predict_linear`] —
+//! generic over any [`TupleScan`], so a catalog table and a columnar table
+//! outside the catalog take the same path. The table-name functions
+//! (`svm_train`, `logistic_predict`, ...) are thin wrappers over them.
 
 use bismarck_storage::{Column, DataType, Database, Schema, StorageError, Table, TupleScan, Value};
 use bismarck_uda::TrainingHistory;
 
 use crate::error::TrainError;
+use crate::serving::Link;
 use crate::task::IgdTask;
 use crate::tasks::{CrfTask, LmfTask, LogisticRegressionTask, SvmTask};
-use crate::trainer::{Trainer, TrainerConfig};
+use crate::trainer::{objective, TrainedModel, Trainer, TrainerConfig};
 
 /// Errors surfaced by the front-end functions.
 #[derive(Debug, Clone, PartialEq)]
@@ -103,20 +110,54 @@ pub fn persist_model(
     Ok(())
 }
 
+/// Persist a trained model as `model_name` (see [`persist_model`]) and
+/// summarize the run that produced it.
+pub fn persist_trained(
+    db: &mut Database,
+    model_name: &str,
+    trained: TrainedModel,
+) -> Result<TrainSummary, FrontendError> {
+    persist_model(db, model_name, &trained.model)?;
+    Ok(TrainSummary {
+        task: trained.task_name,
+        model_table: model_name.to_string(),
+        dimension: trained.model.len(),
+        final_loss: trained.final_loss().unwrap_or(f64::NAN),
+        epochs: trained.epochs(),
+        converged: trained.history.converged(),
+        history: trained.history,
+    })
+}
+
 /// Load a model previously persisted with [`persist_model`].
+///
+/// Model tables are ordinary tables, so their rows may have been edited:
+/// an `idx` that is negative or not below the table's row count cannot
+/// come from [`persist_model`] and is rejected as
+/// [`FrontendError::InvalidInput`] (this also bounds the allocation by the
+/// table's size).
 pub fn load_model(db: &Database, model_name: &str) -> Result<Vec<f64>, FrontendError> {
     let table = db.table(model_name)?;
     let idx_col = table.column_index("idx")?;
     let weight_col = table.column_index("weight")?;
-    let mut pairs: Vec<(usize, f64)> = Vec::with_capacity(table.len());
+    let rows = table.len();
+    let mut pairs: Vec<(usize, f64)> = Vec::with_capacity(rows);
     for tuple in table.scan() {
         let idx = tuple
             .get_int(idx_col)
             .ok_or_else(|| FrontendError::InvalidInput("model idx is not an integer".into()))?;
+        let idx = usize::try_from(idx)
+            .ok()
+            .filter(|&i| i < rows)
+            .ok_or_else(|| {
+                FrontendError::InvalidInput(format!(
+                    "model '{model_name}' has idx {idx}, outside 0..{rows}"
+                ))
+            })?;
         let weight = tuple
             .get_double(weight_col)
             .ok_or_else(|| FrontendError::InvalidInput("model weight is not a double".into()))?;
-        pairs.push((idx as usize, weight));
+        pairs.push((idx, weight));
     }
     let dim = pairs.iter().map(|&(i, _)| i + 1).max().unwrap_or(0);
     let mut model = vec![0.0; dim];
@@ -128,7 +169,7 @@ pub fn load_model(db: &Database, model_name: &str) -> Result<Vec<f64>, FrontendE
 
 /// Resolve feature/label columns and infer the model dimension for any
 /// tuple source with an explicit schema.
-fn resolve_training_source<S: TupleScan + ?Sized>(
+fn resolve_linear_columns<S: TupleScan + ?Sized>(
     source: &S,
     schema: &Schema,
     source_name: &str,
@@ -151,14 +192,24 @@ fn resolve_training_source<S: TupleScan + ?Sized>(
     Ok((fcol, lcol, dim))
 }
 
-fn resolve_training_table(
-    db: &Database,
-    table_name: &str,
+/// Train a linear model over any tuple source — a catalog table or a
+/// columnar table outside the catalog — described by `schema` and named
+/// `source_name` in errors. `new_task` builds the task from the resolved
+/// `(features, label, dimension)`: [`SvmTask::new`] or
+/// [`LogisticRegressionTask::new`]. Persist the result with
+/// [`persist_trained`].
+pub fn train_linear<T: IgdTask, S: TupleScan + ?Sized>(
+    source: &S,
+    schema: &Schema,
+    source_name: &str,
     features_col: &str,
     label_col: &str,
-) -> Result<(usize, usize, usize), FrontendError> {
-    let table = db.table(table_name)?;
-    resolve_training_source(table, table.schema(), table_name, features_col, label_col)
+    new_task: fn(usize, usize, usize) -> T,
+    config: TrainerConfig,
+) -> Result<TrainedModel, FrontendError> {
+    let (fcol, lcol, dim) =
+        resolve_linear_columns(source, schema, source_name, features_col, label_col)?;
+    Ok(Trainer::new(&new_task(fcol, lcol, dim), config).try_train(source)?)
 }
 
 /// `SELECT LogisticRegressionTrain(model, table, features, label)` — train an
@@ -171,19 +222,17 @@ pub fn logistic_regression_train(
     label_col: &str,
     config: TrainerConfig,
 ) -> Result<TrainSummary, FrontendError> {
-    let (fcol, lcol, dim) = resolve_training_table(db, table_name, features_col, label_col)?;
-    let task = LogisticRegressionTask::new(fcol, lcol, dim);
-    let trained = Trainer::new(&task, config).try_train(db.table(table_name)?)?;
-    persist_model(db, model_name, &trained.model)?;
-    Ok(TrainSummary {
-        task: "LR",
-        model_table: model_name.to_string(),
-        dimension: dim,
-        final_loss: trained.final_loss().unwrap_or(f64::NAN),
-        epochs: trained.epochs(),
-        converged: trained.history.converged(),
-        history: trained.history,
-    })
+    let table = db.table(table_name)?;
+    let trained = train_linear(
+        table,
+        table.schema(),
+        table_name,
+        features_col,
+        label_col,
+        LogisticRegressionTask::new,
+        config,
+    )?;
+    persist_trained(db, model_name, trained)
 }
 
 /// `SELECT SVMTrain(model, table, features, label)` — train a linear SVM and
@@ -196,79 +245,17 @@ pub fn svm_train(
     label_col: &str,
     config: TrainerConfig,
 ) -> Result<TrainSummary, FrontendError> {
-    let (fcol, lcol, dim) = resolve_training_table(db, table_name, features_col, label_col)?;
-    let task = SvmTask::new(fcol, lcol, dim);
-    let trained = Trainer::new(&task, config).try_train(db.table(table_name)?)?;
-    persist_model(db, model_name, &trained.model)?;
-    Ok(TrainSummary {
-        task: "SVM",
-        model_table: model_name.to_string(),
-        dimension: dim,
-        final_loss: trained.final_loss().unwrap_or(f64::NAN),
-        epochs: trained.epochs(),
-        converged: trained.history.converged(),
-        history: trained.history,
-    })
-}
-
-/// Like [`logistic_regression_train`], but over an explicit tuple source
-/// (e.g. a columnar table living outside the row-store catalog). The model
-/// is still persisted into `db` under `model_name`.
-#[allow(clippy::too_many_arguments)]
-pub fn logistic_regression_train_source<S: TupleScan + ?Sized>(
-    db: &mut Database,
-    model_name: &str,
-    source: &S,
-    schema: &Schema,
-    source_name: &str,
-    features_col: &str,
-    label_col: &str,
-    config: TrainerConfig,
-) -> Result<TrainSummary, FrontendError> {
-    let (fcol, lcol, dim) =
-        resolve_training_source(source, schema, source_name, features_col, label_col)?;
-    let task = LogisticRegressionTask::new(fcol, lcol, dim);
-    let trained = Trainer::new(&task, config).try_train(source)?;
-    persist_model(db, model_name, &trained.model)?;
-    Ok(TrainSummary {
-        task: "LR",
-        model_table: model_name.to_string(),
-        dimension: dim,
-        final_loss: trained.final_loss().unwrap_or(f64::NAN),
-        epochs: trained.epochs(),
-        converged: trained.history.converged(),
-        history: trained.history,
-    })
-}
-
-/// Like [`svm_train`], but over an explicit tuple source (e.g. a columnar
-/// table living outside the row-store catalog). The model is still persisted
-/// into `db` under `model_name`.
-#[allow(clippy::too_many_arguments)]
-pub fn svm_train_source<S: TupleScan + ?Sized>(
-    db: &mut Database,
-    model_name: &str,
-    source: &S,
-    schema: &Schema,
-    source_name: &str,
-    features_col: &str,
-    label_col: &str,
-    config: TrainerConfig,
-) -> Result<TrainSummary, FrontendError> {
-    let (fcol, lcol, dim) =
-        resolve_training_source(source, schema, source_name, features_col, label_col)?;
-    let task = SvmTask::new(fcol, lcol, dim);
-    let trained = Trainer::new(&task, config).try_train(source)?;
-    persist_model(db, model_name, &trained.model)?;
-    Ok(TrainSummary {
-        task: "SVM",
-        model_table: model_name.to_string(),
-        dimension: dim,
-        final_loss: trained.final_loss().unwrap_or(f64::NAN),
-        epochs: trained.epochs(),
-        converged: trained.history.converged(),
-        history: trained.history,
-    })
+    let table = db.table(table_name)?;
+    let trained = train_linear(
+        table,
+        table.schema(),
+        table_name,
+        features_col,
+        label_col,
+        SvmTask::new,
+        config,
+    )?;
+    persist_trained(db, model_name, trained)
 }
 
 /// `SELECT LMFTrain(model, table, row, col, rating, rows, cols, rank)` —
@@ -297,29 +284,29 @@ pub fn lmf_train(
     let vcol = table.column_index(rating_col)?;
     let task = LmfTask::new(rcol, ccol, vcol, rows, cols, rank);
     let trained = Trainer::new(&task, config).try_train(table)?;
-    persist_model(db, model_name, &trained.model)?;
-    Ok(TrainSummary {
-        task: "LMF",
-        model_table: model_name.to_string(),
-        dimension: task.dimension(),
-        final_loss: trained.final_loss().unwrap_or(f64::NAN),
-        epochs: trained.epochs(),
-        converged: trained.history.converged(),
-        history: trained.history,
-    })
+    persist_trained(db, model_name, trained)
 }
 
-/// Evaluate the full objective value of a persisted linear-model task
-/// (`Σ_i f_i(w) + P(w)`) over a data table — the "loss UDA" of Section 3.1
-/// exposed as a front-end call. `task` selects the loss: LR uses the logistic
-/// loss, SVM the hinge loss.
-fn linear_objective_source<T: IgdTask, S: TupleScan + ?Sized>(
+/// Objective value (`Σ_i f_i(w) + P(w)`) of the persisted linear model
+/// `model_name` over any tuple source — the "loss UDA" of Section 3.1
+/// exposed as a front-end call. `new_task` selects the loss:
+/// [`LogisticRegressionTask::new`] the logistic loss, [`SvmTask::new`] the
+/// hinge loss. A model whose dimension is below the data's is rejected.
+#[allow(clippy::too_many_arguments)]
+pub fn linear_loss<T: IgdTask, S: TupleScan + ?Sized>(
     db: &Database,
-    task: &T,
     model_name: &str,
     source: &S,
+    schema: &Schema,
+    source_name: &str,
+    features_col: &str,
+    label_col: &str,
+    new_task: fn(usize, usize, usize) -> T,
 ) -> Result<f64, FrontendError> {
+    let (fcol, lcol, dim) =
+        resolve_linear_columns(source, schema, source_name, features_col, label_col)?;
     let model = load_model(db, model_name)?;
+    let task = new_task(fcol, lcol, dim.max(model.len()));
     if model.len() != task.dimension() {
         return Err(FrontendError::InvalidInput(format!(
             "model '{model_name}' has dimension {}, expected {}",
@@ -327,18 +314,7 @@ fn linear_objective_source<T: IgdTask, S: TupleScan + ?Sized>(
             task.dimension()
         )));
     }
-    let mut total = task.regularizer(&model);
-    source.scan_tuples(&mut |tuple| total += task.example_loss(&model, tuple));
-    Ok(total)
-}
-
-fn linear_objective<T: IgdTask>(
-    db: &Database,
-    task: &T,
-    model_name: &str,
-    table_name: &str,
-) -> Result<f64, FrontendError> {
-    linear_objective_source(db, task, model_name, db.table(table_name)?)
+    Ok(objective(&task, &model, source))
 }
 
 /// Objective value of a persisted logistic-regression model over a table.
@@ -349,10 +325,17 @@ pub fn logistic_regression_loss(
     features_col: &str,
     label_col: &str,
 ) -> Result<f64, FrontendError> {
-    let (fcol, lcol, dim) = resolve_training_table(db, table_name, features_col, label_col)?;
-    let dim = dim.max(load_model(db, model_name)?.len());
-    let task = LogisticRegressionTask::new(fcol, lcol, dim);
-    linear_objective(db, &task, model_name, table_name)
+    let table = db.table(table_name)?;
+    linear_loss(
+        db,
+        model_name,
+        table,
+        table.schema(),
+        table_name,
+        features_col,
+        label_col,
+        LogisticRegressionTask::new,
+    )
 }
 
 /// Objective value of a persisted SVM model over a table.
@@ -363,44 +346,17 @@ pub fn svm_loss(
     features_col: &str,
     label_col: &str,
 ) -> Result<f64, FrontendError> {
-    let (fcol, lcol, dim) = resolve_training_table(db, table_name, features_col, label_col)?;
-    let dim = dim.max(load_model(db, model_name)?.len());
-    let task = SvmTask::new(fcol, lcol, dim);
-    linear_objective(db, &task, model_name, table_name)
-}
-
-/// Like [`logistic_regression_loss`], but over an explicit tuple source.
-pub fn logistic_regression_loss_source<S: TupleScan + ?Sized>(
-    db: &Database,
-    model_name: &str,
-    source: &S,
-    schema: &Schema,
-    source_name: &str,
-    features_col: &str,
-    label_col: &str,
-) -> Result<f64, FrontendError> {
-    let (fcol, lcol, dim) =
-        resolve_training_source(source, schema, source_name, features_col, label_col)?;
-    let dim = dim.max(load_model(db, model_name)?.len());
-    let task = LogisticRegressionTask::new(fcol, lcol, dim);
-    linear_objective_source(db, &task, model_name, source)
-}
-
-/// Like [`svm_loss`], but over an explicit tuple source.
-pub fn svm_loss_source<S: TupleScan + ?Sized>(
-    db: &Database,
-    model_name: &str,
-    source: &S,
-    schema: &Schema,
-    source_name: &str,
-    features_col: &str,
-    label_col: &str,
-) -> Result<f64, FrontendError> {
-    let (fcol, lcol, dim) =
-        resolve_training_source(source, schema, source_name, features_col, label_col)?;
-    let dim = dim.max(load_model(db, model_name)?.len());
-    let task = SvmTask::new(fcol, lcol, dim);
-    linear_objective_source(db, &task, model_name, source)
+    let table = db.table(table_name)?;
+    linear_loss(
+        db,
+        model_name,
+        table,
+        table.schema(),
+        table_name,
+        features_col,
+        label_col,
+        SvmTask::new,
+    )
 }
 
 /// Infer the shape of a sequence-labeling column: `(num_features, num_labels)`
@@ -446,16 +402,31 @@ pub fn crf_train(
     }
     let task = CrfTask::new(scol, num_features, num_labels);
     let trained = Trainer::new(&task, config).try_train(table)?;
-    persist_model(db, model_name, &trained.model)?;
-    Ok(TrainSummary {
-        task: "CRF",
-        model_table: model_name.to_string(),
-        dimension: task.dimension(),
-        final_loss: trained.final_loss().unwrap_or(f64::NAN),
-        epochs: trained.epochs(),
-        converged: trained.history.converged(),
-        history: trained.history,
-    })
+    persist_trained(db, model_name, trained)
+}
+
+/// Apply the persisted linear model `model_name` to every row of any tuple
+/// source, in storage order, mapping each raw decision value `wᵀx` through
+/// `link`. A row whose feature column is NULL scores as `wᵀx = 0`.
+pub fn predict_linear<S: TupleScan + ?Sized>(
+    db: &Database,
+    model_name: &str,
+    source: &S,
+    schema: &Schema,
+    features_col: &str,
+    link: Link,
+) -> Result<Vec<f64>, FrontendError> {
+    let model = load_model(db, model_name)?;
+    let fcol = schema.index_of(features_col)?;
+    let mut out = Vec::with_capacity(source.tuple_count());
+    source.scan_tuples(&mut |tuple| {
+        let score = tuple
+            .feature_view(fcol)
+            .map(|x| x.dot(&model))
+            .unwrap_or(0.0);
+        out.push(link.apply(score));
+    });
+    Ok(out)
 }
 
 /// Apply a persisted linear model to every row of a data table, returning the
@@ -467,29 +438,51 @@ pub fn linear_predict(
     features_col: &str,
 ) -> Result<Vec<f64>, FrontendError> {
     let table = db.table(table_name)?;
-    linear_predict_source(db, model_name, table, table.schema(), features_col)
+    predict_linear(
+        db,
+        model_name,
+        table,
+        table.schema(),
+        features_col,
+        Link::Identity,
+    )
 }
 
-/// Like [`linear_predict`], but over an explicit tuple source.
-pub fn linear_predict_source<S: TupleScan + ?Sized>(
+/// Apply a persisted LR model, returning positive-class probabilities.
+pub fn logistic_predict(
     db: &Database,
     model_name: &str,
-    source: &S,
-    schema: &Schema,
+    table_name: &str,
     features_col: &str,
 ) -> Result<Vec<f64>, FrontendError> {
-    let model = load_model(db, model_name)?;
-    let fcol = schema.index_of(features_col)?;
-    let mut out = Vec::with_capacity(source.tuple_count());
-    source.scan_tuples(&mut |tuple| {
-        out.push(
-            tuple
-                .feature_view(fcol)
-                .map(|x| x.dot(&model))
-                .unwrap_or(0.0),
-        );
-    });
-    Ok(out)
+    let table = db.table(table_name)?;
+    predict_linear(
+        db,
+        model_name,
+        table,
+        table.schema(),
+        features_col,
+        Link::Sigmoid,
+    )
+}
+
+/// Apply a persisted SVM model, returning ±1 class predictions (0 for an
+/// exactly-zero decision value).
+pub fn svm_predict(
+    db: &Database,
+    model_name: &str,
+    table_name: &str,
+    features_col: &str,
+) -> Result<Vec<f64>, FrontendError> {
+    let table = db.table(table_name)?;
+    predict_linear(
+        db,
+        model_name,
+        table,
+        table.schema(),
+        features_col,
+        Link::Sign,
+    )
 }
 
 /// Apply a persisted CRF model to every sequence of a data table, returning
@@ -526,81 +519,6 @@ pub fn crf_predict(
                 task.viterbi(&model, &features)
             }
             None => Vec::new(),
-        })
-        .collect())
-}
-
-/// Like [`logistic_predict`], but over an explicit tuple source.
-pub fn logistic_predict_source<S: TupleScan + ?Sized>(
-    db: &Database,
-    model_name: &str,
-    source: &S,
-    schema: &Schema,
-    features_col: &str,
-) -> Result<Vec<f64>, FrontendError> {
-    Ok(
-        linear_predict_source(db, model_name, source, schema, features_col)?
-            .into_iter()
-            .map(bismarck_linalg::ops::sigmoid)
-            .collect(),
-    )
-}
-
-/// Like [`svm_predict`], but over an explicit tuple source.
-pub fn svm_predict_source<S: TupleScan + ?Sized>(
-    db: &Database,
-    model_name: &str,
-    source: &S,
-    schema: &Schema,
-    features_col: &str,
-) -> Result<Vec<f64>, FrontendError> {
-    Ok(
-        linear_predict_source(db, model_name, source, schema, features_col)?
-            .into_iter()
-            .map(|v| {
-                if v > 0.0 {
-                    1.0
-                } else if v < 0.0 {
-                    -1.0
-                } else {
-                    0.0
-                }
-            })
-            .collect(),
-    )
-}
-
-/// Apply a persisted LR model, returning positive-class probabilities.
-pub fn logistic_predict(
-    db: &Database,
-    model_name: &str,
-    table_name: &str,
-    features_col: &str,
-) -> Result<Vec<f64>, FrontendError> {
-    Ok(linear_predict(db, model_name, table_name, features_col)?
-        .into_iter()
-        .map(bismarck_linalg::ops::sigmoid)
-        .collect())
-}
-
-/// Apply a persisted SVM model, returning ±1 class predictions (0 for an
-/// exactly-zero decision value).
-pub fn svm_predict(
-    db: &Database,
-    model_name: &str,
-    table_name: &str,
-    features_col: &str,
-) -> Result<Vec<f64>, FrontendError> {
-    Ok(linear_predict(db, model_name, table_name, features_col)?
-        .into_iter()
-        .map(|v| {
-            if v > 0.0 {
-                1.0
-            } else if v < 0.0 {
-                -1.0
-            } else {
-                0.0
-            }
         })
         .collect())
 }

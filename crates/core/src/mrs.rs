@@ -26,7 +26,7 @@ use parking_lot::RwLock;
 use crate::model::{ModelStore, NoLockStore};
 use crate::stepsize::StepSizeSchedule;
 use crate::task::{IgdTask, ProximalPolicy};
-use crate::trainer::TrainedModel;
+use crate::trainer::{objective, TrainedModel};
 
 /// Configuration of the MRS trainer.
 #[derive(Debug, Clone, Copy)]
@@ -196,13 +196,8 @@ impl<'a, T: IgdTask> MrsTrainer<'a, T> {
                     shared.overwrite(&snapshot);
                 }
 
-                let model = shared.snapshot();
-                let mut loss = task.regularizer(&model);
-                for tuple in table.scan() {
-                    loss += task.example_loss(&model, tuple);
-                }
                 EpochOutcome {
-                    loss,
+                    loss: objective(task, &shared.snapshot(), table),
                     gradient_norm: None,
                     shuffle_duration: Duration::ZERO,
                     retries: 0,
@@ -282,12 +277,8 @@ pub fn subsampling_train<T: IgdTask>(
         }
         // Loss is still measured over the FULL table: the question Figure 10
         // asks is how well the subsample-trained model does on all the data.
-        let mut loss = task.regularizer(&model);
-        for tuple in table.scan() {
-            loss += task.example_loss(&model, tuple);
-        }
         EpochOutcome {
-            loss,
+            loss: objective(task, &model, table),
             gradient_norm: None,
             shuffle_duration: Duration::ZERO,
             retries: 0,

@@ -15,22 +15,17 @@
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::Path;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
-use bismarck_storage::{segment_ranges, ScanOrder, SharedModel, Tuple, TupleScan};
-use bismarck_uda::{panic_message, try_run_segmented_parallel, EpochOutcome, EpochRunner};
+use bismarck_storage::{segment_ranges, SharedModel, Tuple, TupleScan};
+use bismarck_uda::{panic_message, try_run_segmented_parallel};
 use parking_lot::Mutex;
 
-use crate::checkpoint::TrainingCheckpoint;
 use crate::error::TrainError;
 use crate::igd::IgdAggregate;
 use crate::model::{AigStore, NoLockStore, SliceModelStore};
 use crate::task::{IgdTask, ProximalPolicy};
-use crate::trainer::{
-    maybe_write_checkpoint, prior_records, publish_serving, stop_requested, unwrap_trained,
-    validate_checkpoint, validate_serving, write_interrupt_checkpoint, EpochAbort, ResumeState,
-    TrainedModel, TrainerConfig,
-};
+use crate::trainer::{drive, unwrap_trained, EpochAbort, ResumeState, TrainedModel, TrainerConfig};
 
 /// How shared-memory workers update the model.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -192,7 +187,7 @@ impl<'a, T: IgdTask> ParallelTrainer<'a, T> {
         data: &S,
         initial_model: Vec<f64>,
     ) -> (TrainedModel, Vec<ParallelEpochStats>) {
-        let (result, stats) = self.try_train_impl(data, initial_model, None);
+        let (result, stats) = self.drive(data, ResumeState::fresh(initial_model));
         (unwrap_trained(result), stats)
     }
 
@@ -215,218 +210,71 @@ impl<'a, T: IgdTask> ParallelTrainer<'a, T> {
         data: &S,
         initial_model: Vec<f64>,
     ) -> Result<(TrainedModel, Vec<ParallelEpochStats>), TrainError> {
-        let (result, stats) = self.try_train_impl(data, initial_model, None);
+        let (result, stats) = self.drive(data, ResumeState::fresh(initial_model));
         result.map(|trained| (trained, stats))
     }
 
     /// Resume a checkpointed parallel run. The same validation as
-    /// [`crate::Trainer::resume_from`] applies; note that only the `Lock`
-    /// discipline (and single-worker runs) are deterministic enough for the
-    /// resumed trajectory to match an uninterrupted one bitwise — AIG/NoLock
-    /// runs are racy by design, with or without checkpoints.
+    /// [`crate::Trainer::resume_from`] applies. The resumed trajectory
+    /// matches an uninterrupted one bitwise wherever the scheme itself is
+    /// deterministic: [`ParallelStrategy::PureUda`], whose merge folds the
+    /// segments in a fixed order, and the `Lock` discipline with a single
+    /// worker. Multi-worker shared-memory runs interleave their updates
+    /// nondeterministically (AIG/NoLock are racy by design), with or without
+    /// checkpoints.
     pub fn resume_from<S: TupleScan + ?Sized>(
         &self,
         data: &S,
         path: impl AsRef<Path>,
     ) -> Result<(TrainedModel, Vec<ParallelEpochStats>), TrainError> {
-        let checkpoint = TrainingCheckpoint::read(path.as_ref())?;
-        validate_checkpoint(&checkpoint, self.task, &self.config)?;
-        let model = checkpoint.model.clone();
-        let resume = ResumeState {
-            next_epoch: checkpoint.next_epoch,
-            alpha_scale: checkpoint.alpha_scale,
-            retries_used: checkpoint.retries_used,
-            losses: checkpoint.losses,
-        };
-        let (result, stats) = self.try_train_impl(data, model, Some(resume));
+        let start = ResumeState::load(path.as_ref(), self.task, &self.config)?;
+        let (result, stats) = self.drive(data, start);
         result.map(|trained| (trained, stats))
     }
 
-    fn try_train_impl<S: TupleScan + ?Sized>(
+    fn drive<S: TupleScan + ?Sized>(
         &self,
         data: &S,
-        initial_model: Vec<f64>,
-        resume: Option<ResumeState>,
+        start: ResumeState,
     ) -> (Result<TrainedModel, TrainError>, Vec<ParallelEpochStats>) {
-        let task = self.task;
-        let config = &self.config;
-        let strategy = self.strategy;
-        let (start_epoch, mut alpha_scale, mut retries_used, prior_losses) = match resume {
-            Some(r) => (r.next_epoch, r.alpha_scale, r.retries_used, r.losses),
-            None => (0, 1.0, 0, Vec::new()),
-        };
-        let mut model = initial_model;
-        if let Err(e) = validate_serving(config, model.len()) {
-            return (Err(e), Vec::new());
-        }
-        let mut last_good = model.clone();
-        let mut losses_so_far = prior_losses.clone();
-        let mut stats = Vec::new();
-        let mut cached_permutation: Option<Vec<usize>> = None;
-        let runner = EpochRunner::new(config.convergence);
-
-        let (history, aborted) =
-            runner.try_run_from(start_epoch, prior_records(&prior_losses), |epoch| {
-                let mut epoch_retries = 0u32;
-                let mut gradient_duration = Duration::ZERO;
-                loop {
-                    if stop_requested(config) {
-                        write_interrupt_checkpoint(
-                            task,
-                            config,
-                            epoch,
-                            &last_good,
-                            alpha_scale,
-                            retries_used,
-                            &losses_so_far,
-                        )?;
-                        return Err(EpochAbort::Interrupted);
-                    }
-
-                    // Reorder if requested (timed, as in the sequential
-                    // trainer).
-                    let shuffle_start = Instant::now();
-                    let permutation: Option<&[usize]> = match config.scan_order {
-                        ScanOrder::Clustered => None,
-                        ScanOrder::ShuffleOnce { .. } => {
-                            if cached_permutation.is_none() {
-                                cached_permutation =
-                                    config.scan_order.permutation(data.tuple_count(), epoch);
-                            }
-                            cached_permutation.as_deref()
-                        }
-                        ScanOrder::ShuffleAlways { .. } => {
-                            cached_permutation =
-                                config.scan_order.permutation(data.tuple_count(), epoch);
-                            cached_permutation.as_deref()
-                        }
-                    };
-                    let shuffle_duration = if config.scan_order.shuffles_at(epoch) {
-                        shuffle_start.elapsed()
-                    } else {
-                        Duration::ZERO
-                    };
-
-                    let alpha = config.step_size.at(epoch) * alpha_scale;
-                    let gradient_start = Instant::now();
-                    let current = std::mem::take(&mut model);
-                    let pass = match strategy {
-                        ParallelStrategy::PureUda { segments } => {
-                            run_pure_uda_epoch(task, data, current, alpha, segments)
-                        }
-                        ParallelStrategy::SharedMemory {
-                            workers,
-                            discipline,
-                        } => run_shared_memory_epoch(
-                            task,
-                            data,
-                            permutation,
-                            current,
-                            alpha,
-                            workers,
-                            discipline,
-                        ),
-                    };
-                    gradient_duration += gradient_start.elapsed();
-                    match pass {
-                        Ok(new_model) => model = new_model,
-                        // A worker panic aborts the run: the epoch's partial
-                        // updates are gone (and under AIG/NoLock the shared
-                        // model may hold a half-applied epoch), so the only
-                        // trustworthy state is the last-good snapshot carried
-                        // by the error.
-                        Err(panic) => return Err(panic),
-                    }
-
-                    let mut loss = task.regularizer(&model);
-                    data.scan_tuples(&mut |tuple| loss += task.example_loss(&model, tuple));
-
-                    let healthy = loss.is_finite() && model.iter().all(|v| v.is_finite());
-                    if !healthy {
-                        if retries_used < config.backoff.max_retries {
-                            retries_used += 1;
-                            epoch_retries += 1;
-                            alpha_scale *= config.backoff.factor;
-                            model.clear();
-                            model.extend_from_slice(&last_good);
-                            // Keep serving the restored finite model while
-                            // the retry runs.
-                            publish_serving(config, &model);
-                            continue;
-                        }
-                        if config.backoff.max_retries > 0 {
-                            return Err(EpochAbort::Diverged {
-                                retries: retries_used,
-                            });
-                        }
-                    } else {
-                        last_good.clear();
-                        last_good.extend_from_slice(&model);
-                        publish_serving(config, &model);
-                    }
-                    losses_so_far.push(loss);
-                    if healthy {
-                        maybe_write_checkpoint(
-                            task,
-                            config,
-                            epoch + 1,
-                            &model,
-                            alpha_scale,
-                            retries_used,
-                            &losses_so_far,
-                        )?;
-                    }
-                    stats.push(ParallelEpochStats {
-                        gradient_duration,
-                        retries: epoch_retries,
-                    });
-                    return Ok(EpochOutcome {
-                        loss,
-                        gradient_norm: None,
-                        shuffle_duration,
-                        retries: epoch_retries,
-                    });
-                }
-            });
-
-        let task_name = task.name();
-        let result = match aborted {
-            None => Ok(TrainedModel {
-                task_name,
-                model,
-                history,
-            }),
-            Some((epoch, abort)) => Err(abort.into_train_error(
-                epoch,
-                TrainedModel {
-                    task_name,
-                    model: last_good,
-                    history,
-                },
-            )),
-        };
-        (result, stats)
+        drive(self.task, &self.config, Some(self.strategy), data, start)
     }
 }
 
-/// One pure-UDA (shared-nothing) epoch: segment-parallel aggregation with
-/// model-averaging merge. Segments see their rows in clustered order, which
-/// matches how a parallel engine distributes tuples to segments. A worker
-/// panic is isolated by the segmented executor and surfaced as an abort.
-fn run_pure_uda_epoch<T: IgdTask, S: TupleScan + ?Sized>(
-    task: &T,
-    data: &S,
-    model: Vec<f64>,
-    alpha: f64,
-    segments: usize,
-) -> Result<Vec<f64>, EpochAbort> {
-    let aggregate = IgdAggregate::new(task, alpha, model);
-    match try_run_segmented_parallel(&aggregate, data, segments.max(1)) {
-        Ok(state) => Ok(state.model.into_vec()),
-        Err(panic) => Err(EpochAbort::WorkerPanic {
-            failed_workers: panic.failed_workers,
-            message: panic.message,
-        }),
+impl ParallelStrategy {
+    /// Run one epoch's gradient pass under this scheme, starting from
+    /// `model` with step size `alpha`.
+    ///
+    /// Pure UDA is segment-parallel aggregation with a model-averaging
+    /// merge. Its segments see their rows in clustered order, as a parallel
+    /// engine distributes tuples to segments, so it ignores `permutation`;
+    /// the segmented executor isolates a worker panic and it surfaces as an
+    /// abort.
+    pub(crate) fn run_epoch<T: IgdTask, S: TupleScan + ?Sized>(
+        self,
+        task: &T,
+        data: &S,
+        permutation: Option<&[usize]>,
+        model: Vec<f64>,
+        alpha: f64,
+    ) -> Result<Vec<f64>, EpochAbort> {
+        match self {
+            ParallelStrategy::PureUda { segments } => {
+                let aggregate = IgdAggregate::new(task, alpha, model);
+                try_run_segmented_parallel(&aggregate, data, segments.max(1))
+                    .map(|state| state.model.into_vec())
+                    .map_err(|panic| EpochAbort::WorkerPanic {
+                        failed_workers: panic.failed_workers,
+                        message: panic.message,
+                    })
+            }
+            ParallelStrategy::SharedMemory {
+                workers,
+                discipline,
+            } => {
+                run_shared_memory_epoch(task, data, permutation, model, alpha, workers, discipline)
+            }
+        }
     }
 }
 
@@ -591,7 +439,7 @@ mod tests {
     use crate::stepsize::StepSizeSchedule;
     use crate::tasks::{LogisticRegressionTask, PortfolioTask, SvmTask};
     use crate::trainer::Trainer;
-    use bismarck_storage::{Column, DataType, Schema, Table, Value};
+    use bismarck_storage::{Column, DataType, ScanOrder, Schema, Table, Value};
     use bismarck_uda::ConvergenceTest;
     use rand::rngs::StdRng;
     use rand::Rng;

@@ -8,6 +8,11 @@
 //! permutation — if any — is handed to the scan, and in how often the
 //! (timed) shuffle cost is paid.
 //!
+//! The epoch loop is shared: [`crate::ParallelTrainer`] runs the same driver
+//! and differs only in how one pass over the data is executed, so stopping,
+//! shuffling, loss evaluation, divergence recovery, serving and
+//! checkpointing behave identically under every scheme.
+//!
 //! On top of the epoch loop sits a fault-tolerant runtime in the spirit of
 //! the RDBMS the trainer is meant to live inside: a panicking gradient pass
 //! is isolated ([`TrainError::WorkerPanic`]), a diverged epoch (non-finite
@@ -36,6 +41,7 @@ use crate::checkpoint::TrainingCheckpoint;
 use crate::error::TrainError;
 use crate::governor::QueryGuard;
 use crate::igd::IgdAggregate;
+use crate::parallel::{ParallelEpochStats, ParallelStrategy};
 use crate::serving::{ModelHandle, PublishError};
 use crate::stepsize::StepSizeSchedule;
 use crate::task::IgdTask;
@@ -420,9 +426,7 @@ impl<'a, T: IgdTask> Trainer<'a, T> {
 
     /// Full objective (`Σ_i f_i(w) + P(w)`) of a model over a tuple source.
     pub fn objective<S: TupleScan + ?Sized>(&self, model: &[f64], data: &S) -> f64 {
-        let mut total = self.task.regularizer(model);
-        data.scan_tuples(&mut |tuple| total += self.task.example_loss(model, tuple));
-        total
+        objective(self.task, model, data)
     }
 
     /// Train on a table starting from the task's initial model.
@@ -463,7 +467,8 @@ impl<'a, T: IgdTask> Trainer<'a, T> {
         data: &S,
         initial_model: Vec<f64>,
     ) -> Result<TrainedModel, TrainError> {
-        self.try_train_impl(data, initial_model, None)
+        let start = ResumeState::fresh(initial_model);
+        drive(self.task, &self.config, None, data, start).0
     }
 
     /// Resume a checkpointed run, continuing bit-compatibly with an
@@ -481,181 +486,310 @@ impl<'a, T: IgdTask> Trainer<'a, T> {
         data: &S,
         path: impl AsRef<Path>,
     ) -> Result<TrainedModel, TrainError> {
-        let checkpoint = TrainingCheckpoint::read(path.as_ref())?;
-        validate_checkpoint(&checkpoint, self.task, &self.config)?;
-        let model = checkpoint.model.clone();
-        let resume = ResumeState {
+        let start = ResumeState::load(path.as_ref(), self.task, &self.config)?;
+        drive(self.task, &self.config, None, data, start).0
+    }
+}
+
+/// Full objective `Σ_i f_i(w) + P(w)` of `model` over `data`: the loss scan
+/// that closes every epoch, and the value the loss front-ends report.
+pub(crate) fn objective<T: IgdTask, S: TupleScan + ?Sized>(
+    task: &T,
+    model: &[f64],
+    data: &S,
+) -> f64 {
+    let mut total = task.regularizer(model);
+    data.scan_tuples(&mut |tuple| total += task.example_loss(model, tuple));
+    total
+}
+
+/// Where a run starts: a fresh model at epoch 0, or the state a checkpoint
+/// persisted.
+pub(crate) struct ResumeState {
+    model: Vec<f64>,
+    next_epoch: usize,
+    alpha_scale: f64,
+    retries_used: u32,
+    losses: Vec<f64>,
+}
+
+impl ResumeState {
+    /// Start at epoch 0 from `model` with the full step size.
+    pub(crate) fn fresh(model: Vec<f64>) -> Self {
+        ResumeState {
+            model,
+            next_epoch: 0,
+            alpha_scale: 1.0,
+            retries_used: 0,
+            losses: Vec::new(),
+        }
+    }
+
+    /// Read the checkpoint at `path` and check that it was produced by an
+    /// equivalent run: resuming under a different task, dimension, scan
+    /// order or step-size schedule would silently break bit-compatibility,
+    /// so a mismatch is reported as [`CheckpointError::Corrupt`].
+    pub(crate) fn load<T: IgdTask>(
+        path: &Path,
+        task: &T,
+        config: &TrainerConfig,
+    ) -> Result<Self, TrainError> {
+        let checkpoint = TrainingCheckpoint::read(path)?;
+        let corrupt = |msg: String| TrainError::Checkpoint(CheckpointError::Corrupt(msg));
+        if checkpoint.task_name != task.name() {
+            return Err(corrupt(format!(
+                "checkpoint is for task '{}', trainer runs '{}'",
+                checkpoint.task_name,
+                task.name()
+            )));
+        }
+        if checkpoint.model.len() != task.dimension() {
+            return Err(corrupt(format!(
+                "checkpoint model has dimension {}, task expects {}",
+                checkpoint.model.len(),
+                task.dimension()
+            )));
+        }
+        if checkpoint.scan_order != config.scan_order {
+            return Err(corrupt(format!(
+                "checkpoint scan order {:?} differs from the trainer's {:?}",
+                checkpoint.scan_order, config.scan_order
+            )));
+        }
+        if checkpoint.step_size != config.step_size {
+            return Err(corrupt(format!(
+                "checkpoint step-size schedule {:?} differs from the trainer's {:?}",
+                checkpoint.step_size, config.step_size
+            )));
+        }
+        Ok(ResumeState {
+            model: checkpoint.model,
             next_epoch: checkpoint.next_epoch,
             alpha_scale: checkpoint.alpha_scale,
             retries_used: checkpoint.retries_used,
             losses: checkpoint.losses,
-        };
-        self.try_train_impl(data, model, Some(resume))
-    }
-
-    fn try_train_impl<S: TupleScan + ?Sized>(
-        &self,
-        data: &S,
-        initial_model: Vec<f64>,
-        resume: Option<ResumeState>,
-    ) -> Result<TrainedModel, TrainError> {
-        let task = self.task;
-        let config = &self.config;
-        let (start_epoch, mut alpha_scale, mut retries_used, prior_losses) = match resume {
-            Some(r) => (r.next_epoch, r.alpha_scale, r.retries_used, r.losses),
-            None => (0, 1.0, 0, Vec::new()),
-        };
-        let mut model = initial_model;
-        validate_serving(config, model.len())?;
-        let mut last_good = model.clone();
-        let mut losses_so_far = prior_losses.clone();
-        // ShuffleOnce reuses one permutation; cache it so its cost is paid
-        // exactly once and counted in the first epoch's shuffle time.
-        let mut cached_permutation: Option<Vec<usize>> = None;
-        let runner = EpochRunner::new(config.convergence);
-
-        let (history, aborted) =
-            runner.try_run_from(start_epoch, prior_records(&prior_losses), |epoch| {
-                let mut epoch_retries = 0u32;
-                loop {
-                    if stop_requested(config) {
-                        write_interrupt_checkpoint(
-                            task,
-                            config,
-                            epoch,
-                            &last_good,
-                            alpha_scale,
-                            retries_used,
-                            &losses_so_far,
-                        )?;
-                        return Err(EpochAbort::Interrupted);
-                    }
-
-                    // 1. Reorder the data if the policy asks for it (timed).
-                    let shuffle_start = Instant::now();
-                    let permutation: Option<&[usize]> = match config.scan_order {
-                        ScanOrder::Clustered => None,
-                        ScanOrder::ShuffleOnce { .. } => {
-                            if cached_permutation.is_none() {
-                                cached_permutation =
-                                    config.scan_order.permutation(data.tuple_count(), epoch);
-                            }
-                            cached_permutation.as_deref()
-                        }
-                        ScanOrder::ShuffleAlways { .. } => {
-                            cached_permutation =
-                                config.scan_order.permutation(data.tuple_count(), epoch);
-                            cached_permutation.as_deref()
-                        }
-                    };
-                    let shuffle_duration = if config.scan_order.shuffles_at(epoch) {
-                        shuffle_start.elapsed()
-                    } else {
-                        Duration::ZERO
-                    };
-
-                    // 2. One epoch of IGD as a UDA, isolated from panics.
-                    // Unwind safety: the closure owns the model it mutates
-                    // (moved in) and only reads `task`/`data`/`permutation`;
-                    // if it panics, the partially-updated model is discarded
-                    // and `last_good` takes its place, so no torn state is
-                    // ever observed afterwards.
-                    let alpha = config.step_size.at(epoch) * alpha_scale;
-                    let pass_model = std::mem::take(&mut model);
-                    let pass = catch_unwind(AssertUnwindSafe(move || {
-                        let aggregate = IgdAggregate::new(task, alpha, pass_model);
-                        let state = run_sequential(&aggregate, data, permutation);
-                        state.model.into_vec()
-                    }));
-                    match pass {
-                        Ok(new_model) => model = new_model,
-                        Err(payload) => {
-                            return Err(EpochAbort::WorkerPanic {
-                                failed_workers: 1,
-                                message: panic_message(payload.as_ref()),
-                            })
-                        }
-                    }
-
-                    // 3. Evaluate the objective for the convergence test.
-                    let mut loss = task.regularizer(&model);
-                    data.scan_tuples(&mut |tuple| loss += task.example_loss(&model, tuple));
-
-                    // 4. Divergence scan + recovery.
-                    let healthy = loss.is_finite() && model.iter().all(|v| v.is_finite());
-                    if !healthy {
-                        if retries_used < config.backoff.max_retries {
-                            retries_used += 1;
-                            epoch_retries += 1;
-                            alpha_scale *= config.backoff.factor;
-                            model.clear();
-                            model.extend_from_slice(&last_good);
-                            // Re-assert the restored model to the serving
-                            // handle: readers keep seeing a finite model
-                            // while the retry runs.
-                            publish_serving(config, &model);
-                            continue;
-                        }
-                        if config.backoff.max_retries > 0 {
-                            return Err(EpochAbort::Diverged {
-                                retries: retries_used,
-                            });
-                        }
-                        // Backoff disabled: record the diverged epoch; the
-                        // convergence test stops the run, un-converged.
-                    } else {
-                        last_good.clear();
-                        last_good.extend_from_slice(&model);
-                        publish_serving(config, &model);
-                    }
-                    losses_so_far.push(loss);
-
-                    // 5. Periodic checkpoint (healthy epochs only).
-                    if healthy {
-                        maybe_write_checkpoint(
-                            task,
-                            config,
-                            epoch + 1,
-                            &model,
-                            alpha_scale,
-                            retries_used,
-                            &losses_so_far,
-                        )?;
-                    }
-                    return Ok(EpochOutcome {
-                        loss,
-                        gradient_norm: None,
-                        shuffle_duration,
-                        retries: epoch_retries,
-                    });
-                }
-            });
-
-        let task_name = task.name();
-        match aborted {
-            None => Ok(TrainedModel {
-                task_name,
-                model,
-                history,
-            }),
-            Some((epoch, abort)) => Err(abort.into_train_error(
-                epoch,
-                TrainedModel {
-                    task_name,
-                    model: last_good,
-                    history,
-                },
-            )),
-        }
+        })
     }
 }
 
-/// Resume state threaded from a checkpoint into the epoch loop.
-pub(crate) struct ResumeState {
-    pub(crate) next_epoch: usize,
-    pub(crate) alpha_scale: f64,
-    pub(crate) retries_used: u32,
-    pub(crate) losses: Vec<f64>,
+/// What the epoch driver carries from one epoch to the next besides the
+/// model being trained; a checkpoint persists exactly this.
+struct RunState<'a, T: IgdTask> {
+    task: &'a T,
+    config: &'a TrainerConfig,
+    /// Model of the last epoch that ended with a finite model and loss.
+    last_good: Vec<f64>,
+    /// Product of the backoff factors applied so far.
+    alpha_scale: f64,
+    retries_used: u32,
+    /// Loss of every completed epoch, restored ones included.
+    losses: Vec<f64>,
+}
+
+impl<T: IgdTask> RunState<'_, T> {
+    /// Persist the last-good model as the checkpoint a run resumes from at
+    /// `next_epoch`, if a checkpoint policy is configured.
+    fn write_checkpoint(&self, next_epoch: usize) -> Result<(), EpochAbort> {
+        let Some(policy) = &self.config.checkpoint else {
+            return Ok(());
+        };
+        policy
+            .write(&TrainingCheckpoint {
+                task_name: self.task.name().to_string(),
+                next_epoch,
+                model: self.last_good.clone(),
+                alpha_scale: self.alpha_scale,
+                retries_used: self.retries_used,
+                losses: self.losses.clone(),
+                scan_order: self.config.scan_order,
+                step_size: self.config.step_size,
+            })
+            .map_err(EpochAbort::Checkpoint)
+    }
+}
+
+/// The one epoch loop behind [`Trainer`] and [`crate::ParallelTrainer`]: each epoch
+/// checks the stop flag and guard, reorders the data if the scan order asks
+/// for it (timed), runs one pass over it, scans the objective, recovers
+/// from divergence, publishes to the serving handle and writes the periodic
+/// checkpoint.
+///
+/// `strategy` picks the pass: `None` is the sequential IGD aggregate over
+/// the scan order's permutation, run under `catch_unwind`; `Some` runs the
+/// parallel scheme's epoch. The per-epoch stats are returned whether or not
+/// the run succeeds.
+pub(crate) fn drive<T: IgdTask, S: TupleScan + ?Sized>(
+    task: &T,
+    config: &TrainerConfig,
+    strategy: Option<ParallelStrategy>,
+    data: &S,
+    start: ResumeState,
+) -> (Result<TrainedModel, TrainError>, Vec<ParallelEpochStats>) {
+    let ResumeState {
+        mut model,
+        next_epoch,
+        alpha_scale,
+        retries_used,
+        losses,
+    } = start;
+    if let Err(e) = validate_serving(config, model.len()) {
+        return (Err(e), Vec::new());
+    }
+    let prior = prior_records(&losses);
+    let mut run = RunState {
+        task,
+        config,
+        last_good: model.clone(),
+        alpha_scale,
+        retries_used,
+        losses,
+    };
+    let mut stats = Vec::new();
+    // ShuffleOnce reuses one permutation; cache it so its cost is paid
+    // exactly once and counted in the first epoch's shuffle time.
+    let mut cached_permutation: Option<Vec<usize>> = None;
+    let runner = EpochRunner::new(config.convergence);
+
+    let (history, aborted) = runner.try_run_from(next_epoch, prior, |epoch| {
+        let mut epoch_retries = 0u32;
+        let mut gradient_duration = Duration::ZERO;
+        loop {
+            if stop_requested(config) {
+                run.write_checkpoint(epoch)?;
+                return Err(EpochAbort::Interrupted);
+            }
+
+            // 1. Reorder the data if the policy asks for it (timed).
+            let shuffle_start = Instant::now();
+            let permutation: Option<&[usize]> = match config.scan_order {
+                ScanOrder::Clustered => None,
+                ScanOrder::ShuffleOnce { .. } => {
+                    if cached_permutation.is_none() {
+                        cached_permutation =
+                            config.scan_order.permutation(data.tuple_count(), epoch);
+                    }
+                    cached_permutation.as_deref()
+                }
+                ScanOrder::ShuffleAlways { .. } => {
+                    cached_permutation = config.scan_order.permutation(data.tuple_count(), epoch);
+                    cached_permutation.as_deref()
+                }
+            };
+            let shuffle_duration = if config.scan_order.shuffles_at(epoch) {
+                shuffle_start.elapsed()
+            } else {
+                Duration::ZERO
+            };
+
+            // 2. One pass over the data. A panic anywhere in it aborts the
+            // run: the epoch's partial updates are gone (and under AIG/NoLock
+            // the shared model may hold a half-applied epoch), so the only
+            // trustworthy state is the last-good snapshot the error carries.
+            let alpha = config.step_size.at(epoch) * run.alpha_scale;
+            let gradient_start = Instant::now();
+            let current = std::mem::take(&mut model);
+            let pass = match strategy {
+                None => run_sequential_epoch(task, data, permutation, current, alpha),
+                Some(strategy) => strategy.run_epoch(task, data, permutation, current, alpha),
+            };
+            gradient_duration += gradient_start.elapsed();
+            model = pass?;
+
+            // 3. Evaluate the objective for the convergence test.
+            let loss = objective(task, &model, data);
+
+            // 4. Divergence scan + recovery.
+            let healthy = loss.is_finite() && model.iter().all(|v| v.is_finite());
+            if !healthy {
+                if run.retries_used < config.backoff.max_retries {
+                    run.retries_used += 1;
+                    epoch_retries += 1;
+                    run.alpha_scale *= config.backoff.factor;
+                    model.clear();
+                    model.extend_from_slice(&run.last_good);
+                    // Re-assert the restored model to the serving handle:
+                    // readers keep seeing a finite model while the retry runs.
+                    publish_serving(config, &model);
+                    continue;
+                }
+                if config.backoff.max_retries > 0 {
+                    return Err(EpochAbort::Diverged {
+                        retries: run.retries_used,
+                    });
+                }
+                // Backoff disabled: record the diverged epoch; the
+                // convergence test stops the run, un-converged.
+            } else {
+                run.last_good.clear();
+                run.last_good.extend_from_slice(&model);
+                publish_serving(config, &model);
+            }
+            run.losses.push(loss);
+
+            // 5. Periodic checkpoint (healthy epochs only).
+            let due = config
+                .checkpoint
+                .as_ref()
+                .is_some_and(|policy| policy.every > 0 && (epoch + 1).is_multiple_of(policy.every));
+            if healthy && due {
+                run.write_checkpoint(epoch + 1)?;
+            }
+            stats.push(ParallelEpochStats {
+                gradient_duration,
+                retries: epoch_retries,
+            });
+            return Ok(EpochOutcome {
+                loss,
+                gradient_norm: None,
+                shuffle_duration,
+                retries: epoch_retries,
+            });
+        }
+    });
+
+    let task_name = task.name();
+    let result = match aborted {
+        None => Ok(TrainedModel {
+            task_name,
+            model,
+            history,
+        }),
+        Some((epoch, abort)) => Err(abort.into_train_error(
+            epoch,
+            TrainedModel {
+                task_name,
+                model: run.last_good,
+                history,
+            },
+        )),
+    };
+    (result, stats)
+}
+
+/// One sequential epoch: the IGD aggregate as a UDA over `data` in the given
+/// order, isolated from panics.
+///
+/// Unwind safety: the closure owns the model it mutates (moved in) and only
+/// reads `task`/`data`/`permutation`; if it panics, the partially-updated
+/// model is discarded and the driver falls back to its last-good snapshot,
+/// so no torn state is ever observed afterwards.
+fn run_sequential_epoch<T: IgdTask, S: TupleScan + ?Sized>(
+    task: &T,
+    data: &S,
+    permutation: Option<&[usize]>,
+    model: Vec<f64>,
+    alpha: f64,
+) -> Result<Vec<f64>, EpochAbort> {
+    catch_unwind(AssertUnwindSafe(move || {
+        let aggregate = IgdAggregate::new(task, alpha, model);
+        run_sequential(&aggregate, data, permutation)
+            .model
+            .into_vec()
+    }))
+    .map_err(|payload| EpochAbort::WorkerPanic {
+        failed_workers: 1,
+        message: panic_message(payload.as_ref()),
+    })
 }
 
 /// Internal abort reason raised inside the epoch closure; converted into a
@@ -674,7 +808,7 @@ pub(crate) enum EpochAbort {
 }
 
 impl EpochAbort {
-    pub(crate) fn into_train_error(self, epoch: usize, last_good: TrainedModel) -> TrainError {
+    fn into_train_error(self, epoch: usize, last_good: TrainedModel) -> TrainError {
         match self {
             EpochAbort::WorkerPanic {
                 failed_workers,
@@ -712,7 +846,7 @@ pub(crate) fn unwrap_trained(result: Result<TrainedModel, TrainError>) -> Traine
 
 /// Synthesize zero-duration records for epochs restored from a checkpoint
 /// (only losses are persisted; timings of the original run are not).
-pub(crate) fn prior_records(losses: &[f64]) -> Vec<EpochRecord> {
+fn prior_records(losses: &[f64]) -> Vec<EpochRecord> {
     losses
         .iter()
         .enumerate()
@@ -728,7 +862,7 @@ pub(crate) fn prior_records(losses: &[f64]) -> Vec<EpochRecord> {
         .collect()
 }
 
-pub(crate) fn stop_requested(config: &TrainerConfig) -> bool {
+fn stop_requested(config: &TrainerConfig) -> bool {
     config
         .stop_flag
         .as_ref()
@@ -738,7 +872,7 @@ pub(crate) fn stop_requested(config: &TrainerConfig) -> bool {
 
 /// Reject a run whose serving handle cannot accept the task's models before
 /// any epoch runs, so the in-loop publishes cannot fail.
-pub(crate) fn validate_serving(config: &TrainerConfig, dimension: usize) -> Result<(), TrainError> {
+fn validate_serving(config: &TrainerConfig, dimension: usize) -> Result<(), TrainError> {
     match &config.serving {
         Some(handle) if handle.dimension() != dimension => {
             Err(TrainError::Serving(PublishError::DimensionMismatch {
@@ -752,128 +886,11 @@ pub(crate) fn validate_serving(config: &TrainerConfig, dimension: usize) -> Resu
 
 /// Publish a healthy (finite, dimension-checked) model to the serving
 /// handle, if one is configured.
-pub(crate) fn publish_serving(config: &TrainerConfig, model: &[f64]) {
+fn publish_serving(config: &TrainerConfig, model: &[f64]) {
     if let Some(handle) = &config.serving {
         handle
             .publish(model)
             .expect("dimension validated at run start and only finite models are published");
-    }
-}
-
-/// Reject a checkpoint that was not produced by an equivalent run: resuming
-/// under a different task, dimension, scan order or step-size schedule would
-/// silently break bit-compatibility.
-pub(crate) fn validate_checkpoint<T: IgdTask>(
-    checkpoint: &TrainingCheckpoint,
-    task: &T,
-    config: &TrainerConfig,
-) -> Result<(), TrainError> {
-    let corrupt = |msg: String| TrainError::Checkpoint(CheckpointError::Corrupt(msg));
-    if checkpoint.task_name != task.name() {
-        return Err(corrupt(format!(
-            "checkpoint is for task '{}', trainer runs '{}'",
-            checkpoint.task_name,
-            task.name()
-        )));
-    }
-    if checkpoint.model.len() != task.dimension() {
-        return Err(corrupt(format!(
-            "checkpoint model has dimension {}, task expects {}",
-            checkpoint.model.len(),
-            task.dimension()
-        )));
-    }
-    if checkpoint.scan_order != config.scan_order {
-        return Err(corrupt(format!(
-            "checkpoint scan order {:?} differs from the trainer's {:?}",
-            checkpoint.scan_order, config.scan_order
-        )));
-    }
-    if checkpoint.step_size != config.step_size {
-        return Err(corrupt(format!(
-            "checkpoint step-size schedule {:?} differs from the trainer's {:?}",
-            checkpoint.step_size, config.step_size
-        )));
-    }
-    Ok(())
-}
-
-/// Write a checkpoint if the policy's cadence says this epoch boundary is due.
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn maybe_write_checkpoint<T: IgdTask>(
-    task: &T,
-    config: &TrainerConfig,
-    next_epoch: usize,
-    model: &[f64],
-    alpha_scale: f64,
-    retries_used: u32,
-    losses: &[f64],
-) -> Result<(), EpochAbort> {
-    let Some(policy) = &config.checkpoint else {
-        return Ok(());
-    };
-    if policy.every == 0 || !next_epoch.is_multiple_of(policy.every) {
-        return Ok(());
-    }
-    policy
-        .write(&build_checkpoint(
-            task,
-            config,
-            next_epoch,
-            model,
-            alpha_scale,
-            retries_used,
-            losses,
-        ))
-        .map_err(EpochAbort::Checkpoint)
-}
-
-/// Write a checkpoint unconditionally at an interrupt point (if a policy is
-/// configured), so the interrupted run can be resumed without losing the
-/// epochs since the last periodic write.
-pub(crate) fn write_interrupt_checkpoint<T: IgdTask>(
-    task: &T,
-    config: &TrainerConfig,
-    next_epoch: usize,
-    model: &[f64],
-    alpha_scale: f64,
-    retries_used: u32,
-    losses: &[f64],
-) -> Result<(), EpochAbort> {
-    let Some(policy) = &config.checkpoint else {
-        return Ok(());
-    };
-    policy
-        .write(&build_checkpoint(
-            task,
-            config,
-            next_epoch,
-            model,
-            alpha_scale,
-            retries_used,
-            losses,
-        ))
-        .map_err(EpochAbort::Checkpoint)
-}
-
-fn build_checkpoint<T: IgdTask>(
-    task: &T,
-    config: &TrainerConfig,
-    next_epoch: usize,
-    model: &[f64],
-    alpha_scale: f64,
-    retries_used: u32,
-    losses: &[f64],
-) -> TrainingCheckpoint {
-    TrainingCheckpoint {
-        task_name: task.name().to_string(),
-        next_epoch,
-        model: model.to_vec(),
-        alpha_scale,
-        retries_used,
-        losses: losses.to_vec(),
-        scan_order: config.scan_order,
-        step_size: config.step_size,
     }
 }
 

@@ -91,6 +91,19 @@ impl SparseVector {
         SparseVector { indices, values }
     }
 
+    /// Overwrite this vector with entries already sorted by strictly
+    /// increasing index, reusing its buffers: no allocation once they are
+    /// large enough. Panics in debug builds if the layout is wrong, like
+    /// [`SparseVector::from_sorted`].
+    pub fn assign_sorted(&mut self, indices: &[u32], values: &[f64]) {
+        debug_assert_eq!(indices.len(), values.len());
+        debug_assert!(indices.windows(2).all(|w| w[0] < w[1]));
+        self.indices.clear();
+        self.indices.extend_from_slice(indices);
+        self.values.clear();
+        self.values.extend_from_slice(values);
+    }
+
     /// Checked variant of [`SparseVector::from_sorted`]: validates the layout
     /// in every build profile and reports what is wrong instead of debug-only
     /// panicking. Binary-search `get` and merge-style kernels assume strictly

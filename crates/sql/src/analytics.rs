@@ -6,13 +6,12 @@
 //! IGD architecture instead of per-task code paths.
 
 use bismarck_core::frontend::{
-    self, crf_predict, crf_train, lmf_train, logistic_predict, logistic_predict_source,
-    logistic_regression_loss, logistic_regression_loss_source, logistic_regression_train,
-    logistic_regression_train_source, svm_loss, svm_loss_source, svm_predict, svm_predict_source,
-    svm_train, svm_train_source, TrainSummary,
+    crf_predict, crf_train, linear_loss, lmf_train, persist_trained, predict_linear, train_linear,
+    FrontendError, TrainSummary,
 };
-use bismarck_core::{StepSizeSchedule, TrainerConfig};
-use bismarck_storage::{ColumnarTable, Database, Value};
+use bismarck_core::tasks::{LogisticRegressionTask, SvmTask};
+use bismarck_core::{Link, StepSizeSchedule, TrainerConfig};
+use bismarck_storage::{ColumnarTable, Database, Schema, TupleScan, Value};
 use bismarck_uda::ConvergenceTest;
 
 use crate::error::{Result, SqlError};
@@ -129,7 +128,8 @@ fn prediction_result(column: &str, scores: Vec<f64>) -> QueryResult {
     )
 }
 
-/// Execute one analytics function call with already-evaluated arguments.
+/// Execute one analytics function call with already-evaluated arguments
+/// over the row-store catalog.
 ///
 /// Training functions persist the model back into `db` and return a one-row
 /// summary; prediction functions return one row per input tuple.
@@ -139,7 +139,34 @@ pub fn execute_analytics(
     name: &str,
     args: &[Value],
 ) -> Result<QueryResult> {
+    execute_analytics_over(db, None, base_config, name, args)
+}
+
+/// [`execute_analytics`] with the data table already resolved: `columnar`
+/// is the session's columnar table the call names (its second argument),
+/// or `None` to read that table from `db`.
+///
+/// The linear-model functions (SVM / logistic-regression train, loss and
+/// predict) run the same generic front-end bodies over either layout;
+/// trained models are persisted into `db` as ordinary model tables. The
+/// sequence / factorization tasks (`CRFTrain`, `CRFPredict`, `LMFTrain`)
+/// walk row-store-specific shape-inference paths and are rejected over a
+/// columnar table with a clear error rather than silently misbehaving.
+pub(crate) fn execute_analytics_over(
+    db: &mut Database,
+    columnar: Option<&ColumnarTable>,
+    base_config: TrainerConfig,
+    name: &str,
+    args: &[Value],
+) -> Result<QueryResult> {
     let upper = name.to_ascii_uppercase();
+    if let (Some(source), "LMFTRAIN" | "CRFTRAIN" | "CRFPREDICT") = (columnar, upper.as_str()) {
+        return Err(SqlError::Analytics(format!(
+            "{name}() is not supported over columnar table '{}'; \
+             use a row-store table",
+            source.name()
+        )));
+    }
     match upper.as_str() {
         "SVMTRAIN" | "LRTRAIN" | "LOGISTICREGRESSIONTRAIN" => {
             let model = text_arg(args, 0, name, "model name")?;
@@ -147,12 +174,15 @@ pub fn execute_analytics(
             let features = text_arg(args, 2, name, "feature column")?;
             let label = text_arg(args, 3, name, "label column")?;
             let config = config_with_overrides(base_config, args, 4, name)?;
-            let summary = if upper == "SVMTRAIN" {
-                svm_train(db, &model, &table, &features, &label, config)?
+            let (source, schema) = data_source(db, columnar, &table)?;
+            let trained = if upper == "SVMTRAIN" {
+                let task = SvmTask::new;
+                train_linear(source, schema, &table, &features, &label, task, config)?
             } else {
-                logistic_regression_train(db, &model, &table, &features, &label, config)?
+                let task = LogisticRegressionTask::new;
+                train_linear(source, schema, &table, &features, &label, task, config)?
             };
-            Ok(summary_result(summary))
+            Ok(summary_result(persist_trained(db, &model, trained)?))
         }
         "LMFTRAIN" => {
             let model = text_arg(args, 0, name, "model name")?;
@@ -196,17 +226,13 @@ pub fn execute_analytics(
                     args.len()
                 )));
             }
-            let (column, scores) = match upper.as_str() {
-                "SVMPREDICT" => ("prediction", svm_predict(db, &model, &table, &features)?),
-                "LINEARPREDICT" => (
-                    "score",
-                    frontend::linear_predict(db, &model, &table, &features)?,
-                ),
-                _ => (
-                    "probability",
-                    logistic_predict(db, &model, &table, &features)?,
-                ),
+            let (column, link) = match upper.as_str() {
+                "SVMPREDICT" => ("prediction", Link::Sign),
+                "LINEARPREDICT" => ("score", Link::Identity),
+                _ => ("probability", Link::Sigmoid),
             };
+            let (source, schema) = data_source(db, columnar, &table)?;
+            let scores = predict_linear(db, &model, source, schema, &features, link)?;
             Ok(prediction_result(column, scores))
         }
         "SVMLOSS" | "LRLOSS" | "LOGISTICREGRESSIONLOSS" => {
@@ -220,10 +246,13 @@ pub fn execute_analytics(
                     args.len()
                 )));
             }
+            let (source, schema) = data_source(db, columnar, &table)?;
             let loss = if upper == "SVMLOSS" {
-                svm_loss(db, &model, &table, &features, &label)?
+                let task = SvmTask::new;
+                linear_loss(db, &model, source, schema, &table, &features, &label, task)?
             } else {
-                logistic_regression_loss(db, &model, &table, &features, &label)?
+                let task = LogisticRegressionTask::new;
+                linear_loss(db, &model, source, schema, &table, &features, &label, task)?
             };
             Ok(QueryResult::with_rows(
                 vec!["loss".into()],
@@ -264,115 +293,21 @@ pub fn execute_analytics(
     }
 }
 
-/// [`execute_analytics`] over a columnar table instead of a row-store table.
-///
-/// The linear-model functions (SVM / logistic-regression train, loss and
-/// predict) stream the columnar chunks through the same generic trainers the
-/// row-store uses; trained models are still persisted into `db` as ordinary
-/// model tables. The sequence / factorization tasks (`CRFTrain`,
-/// `CRFPredict`, `LMFTrain`) walk row-store-specific shape-inference paths
-/// and are rejected with a clear error rather than silently misbehaving.
-pub fn execute_analytics_columnar(
-    db: &mut Database,
-    source: &ColumnarTable,
-    base_config: TrainerConfig,
-    name: &str,
-    args: &[Value],
-) -> Result<QueryResult> {
-    let upper = name.to_ascii_uppercase();
-    let schema = source.schema().clone();
-    let source_name = source.name().to_string();
-    match upper.as_str() {
-        "SVMTRAIN" | "LRTRAIN" | "LOGISTICREGRESSIONTRAIN" => {
-            let model = text_arg(args, 0, name, "model name")?;
-            let features = text_arg(args, 2, name, "feature column")?;
-            let label = text_arg(args, 3, name, "label column")?;
-            let config = config_with_overrides(base_config, args, 4, name)?;
-            let summary = if upper == "SVMTRAIN" {
-                svm_train_source(
-                    db,
-                    &model,
-                    source,
-                    &schema,
-                    &source_name,
-                    &features,
-                    &label,
-                    config,
-                )?
-            } else {
-                logistic_regression_train_source(
-                    db,
-                    &model,
-                    source,
-                    &schema,
-                    &source_name,
-                    &features,
-                    &label,
-                    config,
-                )?
-            };
-            Ok(summary_result(summary))
+/// The data table an analytics call reads, as a tuple source plus its
+/// schema: the session's columnar table when the call names one, otherwise
+/// the catalog table `table` (a missing one is an analytics error, as from
+/// every front-end function).
+fn data_source<'a>(
+    db: &'a Database,
+    columnar: Option<&'a ColumnarTable>,
+    table: &str,
+) -> Result<(&'a dyn TupleScan, &'a Schema)> {
+    match columnar {
+        Some(source) => Ok((source, source.schema())),
+        None => {
+            let source = db.table(table).map_err(FrontendError::from)?;
+            Ok((source, source.schema()))
         }
-        "SVMPREDICT" | "LRPREDICT" | "LOGISTICREGRESSIONPREDICT" | "LINEARPREDICT" => {
-            let model = text_arg(args, 0, name, "model name")?;
-            let features = text_arg(args, 2, name, "feature column")?;
-            if args.len() > 3 {
-                return Err(SqlError::Analytics(format!(
-                    "{name}() takes 3 arguments, got {}",
-                    args.len()
-                )));
-            }
-            let (column, scores) = match upper.as_str() {
-                "SVMPREDICT" => (
-                    "prediction",
-                    svm_predict_source(db, &model, source, &schema, &features)?,
-                ),
-                "LINEARPREDICT" => (
-                    "score",
-                    frontend::linear_predict_source(db, &model, source, &schema, &features)?,
-                ),
-                _ => (
-                    "probability",
-                    logistic_predict_source(db, &model, source, &schema, &features)?,
-                ),
-            };
-            Ok(prediction_result(column, scores))
-        }
-        "SVMLOSS" | "LRLOSS" | "LOGISTICREGRESSIONLOSS" => {
-            let model = text_arg(args, 0, name, "model name")?;
-            let features = text_arg(args, 2, name, "feature column")?;
-            let label = text_arg(args, 3, name, "label column")?;
-            if args.len() > 4 {
-                return Err(SqlError::Analytics(format!(
-                    "{name}() takes 4 arguments, got {}",
-                    args.len()
-                )));
-            }
-            let loss = if upper == "SVMLOSS" {
-                svm_loss_source(db, &model, source, &schema, &source_name, &features, &label)?
-            } else {
-                logistic_regression_loss_source(
-                    db,
-                    &model,
-                    source,
-                    &schema,
-                    &source_name,
-                    &features,
-                    &label,
-                )?
-            };
-            Ok(QueryResult::with_rows(
-                vec!["loss".into()],
-                vec![vec![Value::Double(loss)]],
-            ))
-        }
-        "LMFTRAIN" | "CRFTRAIN" | "CRFPREDICT" => Err(SqlError::Analytics(format!(
-            "{name}() is not supported over columnar table '{source_name}'; \
-             use a row-store table"
-        ))),
-        other => Err(SqlError::Analytics(format!(
-            "unknown analytics function {other}()"
-        ))),
     }
 }
 

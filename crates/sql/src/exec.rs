@@ -17,7 +17,7 @@ use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::SeedableRng;
 
-use crate::analytics::{execute_analytics, execute_analytics_columnar, is_analytics_function};
+use crate::analytics::{execute_analytics_over, is_analytics_function};
 use crate::ast::{
     CopyDirection, Expr, Literal, OrderKey, SelectItem, SelectStatement, Statement, TableStorage,
 };
@@ -732,17 +732,14 @@ impl SqlSession {
             // or cancellation ends the run at the next epoch boundary.
             let config = self.trainer_config.clone().with_guard(self.guard.clone());
             // Every analytics function takes the data table as its second
-            // argument; a columnar name routes the call to the columnar
-            // entry point (models still persist into the row-store catalog).
+            // argument; a columnar name makes the call read that columnar
+            // table (models still persist into the row-store catalog).
             let SqlSession { db, columnar, .. } = self;
             let columnar_source = arg_values
                 .get(1)
                 .and_then(|v| v.as_text())
                 .and_then(|table| columnar.get(table));
-            let result = match columnar_source {
-                Some(source) => execute_analytics_columnar(db, source, config, name, &arg_values),
-                None => execute_analytics(db, config, name, &arg_values),
-            };
+            let result = execute_analytics_over(db, columnar_source, config, name, &arg_values);
             // A run the guard interrupted surfaces as the governance error,
             // not a generic analytics failure.
             return result.map_err(|e| match self.guard.check() {

@@ -406,12 +406,17 @@ impl ColumnChunk {
                     return;
                 }
                 let range = offsets[i] as usize..offsets[i + 1] as usize;
+                let (indices, values) = (&indices[range.clone()], &values[range]);
                 // The entries were validated (sorted, unique) on insert, so
-                // the unchecked constructor reproduces them as stored.
-                *slot = Value::SparseVec(SparseVector::from_sorted(
-                    indices[range.clone()].to_vec(),
-                    values[range].to_vec(),
-                ));
+                // the unchecked constructors reproduce them as stored.
+                if let Value::SparseVec(sv) = slot {
+                    sv.assign_sorted(indices, values);
+                } else {
+                    *slot = Value::SparseVec(SparseVector::from_sorted(
+                        indices.to_vec(),
+                        values.to_vec(),
+                    ));
+                }
             }
             ColumnChunk::Sequence { rows } => {
                 slot.clone_from(&rows[i]);
@@ -797,6 +802,28 @@ mod tests {
             _ => panic!("expected a dense vector"),
         };
         assert_eq!(before, after, "same-size read must reuse the buffer");
+    }
+
+    #[test]
+    fn read_into_reuses_sparse_allocation() {
+        let mut chunk = ColumnChunk::empty(DataType::SparseVec);
+        let first = SparseVector::from_pairs(vec![(0, 1.0), (3, 2.0)]);
+        let second = SparseVector::from_pairs(vec![(1, 5.0), (4, 6.0)]);
+        chunk.push(&Value::SparseVec(first.clone())).unwrap();
+        chunk.push(&Value::SparseVec(second.clone())).unwrap();
+        let mut slot = Value::SparseVec(first);
+        let buffers = |slot: &Value| match slot {
+            Value::SparseVec(v) => (v.indices().as_ptr(), v.values().as_ptr()),
+            _ => panic!("expected a sparse vector"),
+        };
+        let before = buffers(&slot);
+        chunk.read_into(1, &mut slot);
+        assert_eq!(slot, Value::SparseVec(second));
+        assert_eq!(
+            before,
+            buffers(&slot),
+            "same-size read must reuse the buffers"
+        );
     }
 
     #[test]

@@ -226,3 +226,48 @@ fn errors_from_each_layer_are_distinguishable() {
         SqlError::Evaluation(_)
     ));
 }
+
+#[test]
+fn out_of_range_model_indices_are_typed_errors_not_crashes() {
+    let mut session = SqlSession::with_seed(5);
+    session
+        .execute_script(
+            "CREATE TABLE t (id INT, vec DENSE_VEC, label DOUBLE);
+             INSERT INTO t VALUES (1, ARRAY[1.0, 2.0], 1.0), (2, ARRAY[-1.0, 0.5], -1.0);",
+        )
+        .unwrap();
+    // A negative idx used to index the model with 2^64 - 1; a huge one used
+    // to allocate a dense model of that size and abort the process.
+    for idx in ["-1", "4000000000000"] {
+        session
+            .execute_script(&format!(
+                "CREATE TABLE m (idx INT, weight DOUBLE);
+                 INSERT INTO m VALUES (0, 0.25), ({idx}, 0.5);"
+            ))
+            .unwrap();
+        let err = session
+            .execute("SELECT SVMPredict('m', 't', 'vec')")
+            .unwrap_err();
+        assert!(matches!(err, SqlError::Analytics(_)), "{err}");
+        assert!(err.to_string().contains("idx"), "{err}");
+        let err = session
+            .execute("SELECT PREDICT('m', vec) FROM t")
+            .unwrap_err();
+        assert!(matches!(err, SqlError::Evaluation(_)), "{err}");
+        assert!(err.to_string().contains("idx"), "{err}");
+        session.execute("DROP TABLE m").unwrap();
+    }
+    // The session is intact: a well-formed model table scores again.
+    session
+        .execute_script(
+            "CREATE TABLE m (idx INT, weight DOUBLE);
+             INSERT INTO m VALUES (0, 0.25), (1, 0.5);",
+        )
+        .unwrap();
+    let scores = session
+        .execute("SELECT SVMPredict('m', 't', 'vec')")
+        .unwrap();
+    assert_eq!(scores.len(), 2);
+    let scored = session.execute("SELECT PREDICT('m', vec) FROM t").unwrap();
+    assert_eq!(scored.rows[0][0], Value::Double(1.25));
+}
